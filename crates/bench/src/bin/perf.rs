@@ -10,9 +10,6 @@
 //!   before timing;
 //! * **serializer round trips** — serialize + deserialize per software
 //!   baseline on a fixed microbenchmark graph;
-//! * **compiled plans** — interpretive field-walking vs compiled-plan
-//!   execution per software backend, with byte-identical streams
-//!   asserted before timing;
 //! * **accelerator simulation** — wall-clock of one full cycle-model run
 //!   (the simulated nanoseconds are recorded too, as a determinism
 //!   anchor: optimizations must not move them);
@@ -21,7 +18,8 @@
 //!   ns) against the Cereal DU and the fastest compiled software
 //!   backend on dense, pointer-heavy, and text workload shapes;
 //! * **experiment fan-out** — the eighteen `--bin all` units at one
-//!   worker vs all available workers.
+//!   worker vs all available workers (marked not applicable, and not
+//!   timed, when only one worker is available).
 //!
 //! Simulated times are deterministic; the wall-clock numbers in the JSON
 //! are machine-dependent and only comparable against runs on the same
@@ -35,7 +33,6 @@ use cereal::CerealConfig;
 use cereal_bench::{jsbs_suite, micro_suite, repeat_root, run_cereal, spark_suite};
 use sdformat::bitio::naive::{NaiveBitReader, NaiveBitWriter};
 use sdformat::pack::{EndMap, Packed};
-use sdheap::builder::Init;
 use sdheap::rng::Rng;
 use sdheap::{Addr, FieldKind, GraphBuilder, Heap, KlassRegistry, ValueType};
 use serializers::{
@@ -296,165 +293,6 @@ fn serializer_roundtrips(iters: usize) -> Vec<SerPerf> {
         .collect()
 }
 
-struct PlanPerf {
-    name: String,
-    iters: usize,
-    interp_ser_ms: f64,
-    compiled_ser_ms: f64,
-    interp_de_ms: f64,
-    compiled_de_ms: f64,
-    stream_bytes: usize,
-}
-
-impl PlanPerf {
-    fn ser_speedup(&self) -> f64 {
-        self.interp_ser_ms / self.compiled_ser_ms
-    }
-    fn de_speedup(&self) -> f64 {
-        self.interp_de_ms / self.compiled_de_ms
-    }
-}
-
-/// A field-program stress graph: many mixed-width primitive fields (long
-/// copy runs split once by a reference), heavy sharing through one leaf,
-/// everything rooted in an `Object[]` — the shape where per-object
-/// `fields()` walking costs the most.
-fn plan_bench_graph() -> (Heap, KlassRegistry, Addr) {
-    let mut b = GraphBuilder::new(1 << 18);
-    let r = b.klass(
-        "R",
-        vec![
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Char),
-            FieldKind::Value(ValueType::Byte),
-            FieldKind::Value(ValueType::Boolean),
-            FieldKind::Value(ValueType::Double),
-            FieldKind::Ref,
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Double),
-            FieldKind::Value(ValueType::Long),
-            FieldKind::Value(ValueType::Int),
-            FieldKind::Value(ValueType::Long),
-        ],
-    );
-    let leaf_k = b.klass("Leaf", vec![FieldKind::Value(ValueType::Long)]);
-    let arr = b.array_klass("Object[]", FieldKind::Ref);
-    let leaf = b.object(leaf_k, &[Init::Val(7)]).unwrap();
-    let mut rng = Rng::new(0xC0DE_F00D);
-    let objects: Vec<Addr> = (0..512)
-        .map(|_| {
-            b.object(
-                r,
-                &[
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(rng.next_u64() & 0xffff),
-                    Init::Val(rng.next_u64() & 0xff),
-                    Init::Val(rng.next_u64() & 1),
-                    Init::Val(f64::to_bits(rng.next_u64() as f64)),
-                    Init::Ref(leaf),
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(f64::to_bits(0.5)),
-                    Init::Val(rng.next_u64()),
-                    Init::Val(rng.next_u64() & 0xffff_ffff),
-                    Init::Val(rng.next_u64()),
-                ],
-            )
-            .unwrap()
-        })
-        .collect();
-    let root = b.ref_array(arr, &objects).unwrap();
-    let (heap, reg) = b.finish();
-    (heap, reg, root)
-}
-
-/// Interpretive vs compiled-plan execution per software backend, on the
-/// plan stress graph. Streams are asserted byte-identical before any
-/// timing; both modes then run `iters` serializations and
-/// deserializations, best of `reps`.
-fn compiled_plan_bench(iters: usize, reps: usize) -> Vec<PlanPerf> {
-    let (mut heap, reg, root) = plan_bench_graph();
-    let cap = heap.capacity_bytes();
-    let modes: Vec<(Box<dyn Serializer>, Box<dyn Serializer>)> = vec![
-        (
-            Box::new(JavaSd::interpretive()),
-            Box::new(JavaSd::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(Kryo::interpretive()),
-            Box::new(Kryo::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(ProtoLike::interpretive()),
-            Box::new(ProtoLike::with_compiled_plans(true)),
-        ),
-        (
-            Box::new(JsonLike::interpretive()),
-            Box::new(JsonLike::with_compiled_plans(true)),
-        ),
-    ];
-    modes
-        .iter()
-        .map(|(interp, comp)| {
-            let mut sink = NullSink;
-            let mut iout = Vec::new();
-            let mut cout = Vec::new();
-            interp
-                .serialize_into(&mut heap, &reg, root, &mut sink, &mut iout)
-                .expect("serialize");
-            comp.serialize_into(&mut heap, &reg, root, &mut sink, &mut cout)
-                .expect("serialize");
-            assert_eq!(
-                iout,
-                cout,
-                "{}: compiled stream must be byte-identical",
-                interp.name()
-            );
-
-            let mut time_ser = |ser: &dyn Serializer| {
-                let mut out = Vec::new();
-                best_of(reps, || {
-                    for _ in 0..iters {
-                        ser.serialize_into(&mut heap, &reg, root, &mut sink, &mut out)
-                            .expect("serialize");
-                    }
-                    black_box(&out);
-                })
-                .0
-            };
-            let interp_ser_ms = time_ser(interp.as_ref());
-            let compiled_ser_ms = time_ser(comp.as_ref());
-
-            let mut time_de = |ser: &dyn Serializer| {
-                best_of(reps, || {
-                    for _ in 0..iters {
-                        let mut dst = Heap::with_base(Addr(DST_BASE), cap);
-                        ser.deserialize(&iout, &reg, &mut dst, &mut sink)
-                            .expect("deserialize");
-                        black_box(&dst);
-                    }
-                })
-                .0
-            };
-            let interp_de_ms = time_de(interp.as_ref());
-            let compiled_de_ms = time_de(comp.as_ref());
-
-            PlanPerf {
-                name: interp.name().to_string(),
-                iters,
-                interp_ser_ms,
-                compiled_ser_ms,
-                interp_de_ms,
-                compiled_de_ms,
-                stream_bytes: iout.len(),
-            }
-        })
-        .collect()
-}
-
 struct CrossoverPerf {
     workload: &'static str,
     records: u32,
@@ -681,23 +519,6 @@ fn main() {
         );
     }
 
-    let (plan_iters, plan_reps) = if smoke { (4, 3) } else { (32, 5) };
-    eprintln!("compiled plans ({plan_iters} iterations, best of {plan_reps}, interpretive vs compiled)...");
-    let plans = compiled_plan_bench(plan_iters, plan_reps);
-    for p in &plans {
-        eprintln!(
-            "  {:<10} ser {:.3} -> {:.3} ms ({:.2}x), de {:.3} -> {:.3} ms ({:.2}x), {} B/stream identical",
-            p.name,
-            p.interp_ser_ms,
-            p.compiled_ser_ms,
-            p.ser_speedup(),
-            p.interp_de_ms,
-            p.compiled_de_ms,
-            p.de_speedup(),
-            p.stream_bytes
-        );
-    }
-
     eprintln!("accelerator simulation run...");
     let accel = accel_sim();
     eprintln!(
@@ -725,20 +546,35 @@ fn main() {
         );
     }
 
-    eprintln!(
-        "experiment fan-out ({FANOUT_UNITS} units, 1 vs {par_jobs} worker(s), \
-         best of {fanout_reps})..."
-    );
-    let (seq_ms, ()) = best_of(fanout_reps, || {
-        run_units(1);
-    });
-    let (par_ms, ()) = best_of(fanout_reps, || {
-        run_units(par_jobs);
-    });
-    eprintln!(
-        "  sequential {seq_ms:.1} ms, {par_jobs} worker(s) {par_ms:.1} ms = {:.2}x",
-        seq_ms / par_ms
-    );
+    // A speedup of one worker over itself means nothing, so the fan-out is
+    // only timed when there is a second worker to fan out to.
+    let fanout_json = if par_jobs < 2 {
+        eprintln!("experiment fan-out: not applicable at available parallelism {cores}");
+        format!("{{\"applicable\": false, \"available_parallelism\": {cores}}}")
+    } else {
+        eprintln!(
+            "experiment fan-out ({FANOUT_UNITS} units, 1 vs {par_jobs} worker(s), \
+             best of {fanout_reps})..."
+        );
+        let (seq_ms, ()) = best_of(fanout_reps, || {
+            run_units(1);
+        });
+        let (par_ms, ()) = best_of(fanout_reps, || {
+            run_units(par_jobs);
+        });
+        eprintln!(
+            "  sequential {seq_ms:.1} ms, {par_jobs} worker(s) {par_ms:.1} ms = {:.2}x",
+            seq_ms / par_ms
+        );
+        format!(
+            "{{\n\
+             \x20   \"applicable\": true,\n\
+             \x20   \"units\": {FANOUT_UNITS}, \"seq_jobs\": 1, \"par_jobs\": {par_jobs},\n\
+             \x20   \"seq_ms\": {seq_ms:.1}, \"par_ms\": {par_ms:.1}, \"speedup\": {:.2}\n\
+             \x20 }}",
+            seq_ms / par_ms
+        )
+    };
 
     let mut sers_json = String::new();
     for (i, s) in sers.iter().enumerate() {
@@ -748,27 +584,6 @@ fn main() {
         sers_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"iters\": {}, \"ser_ms\": {:.3}, \"de_ms\": {:.3}, \"stream_bytes\": {}}}",
             s.name, s.iters, s.ser_ms, s.de_ms, s.stream_bytes
-        ));
-    }
-    let mut plans_json = String::new();
-    for (i, p) in plans.iter().enumerate() {
-        if i > 0 {
-            plans_json.push_str(",\n");
-        }
-        plans_json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \
-             \"interp_ser_ms\": {:.3}, \"compiled_ser_ms\": {:.3}, \"ser_speedup\": {:.2}, \
-             \"interp_de_ms\": {:.3}, \"compiled_de_ms\": {:.3}, \"de_speedup\": {:.2}, \
-             \"stream_bytes\": {}, \"streams_identical\": true}}",
-            p.name,
-            p.iters,
-            p.interp_ser_ms,
-            p.compiled_ser_ms,
-            p.ser_speedup(),
-            p.interp_de_ms,
-            p.compiled_de_ms,
-            p.de_speedup(),
-            p.stream_bytes
         ));
     }
     let mut crossover_json = String::new();
@@ -813,16 +628,12 @@ fn main() {
          \x20   \"boundaries_identical\": true\n\
          \x20 }},\n\
          \x20 \"serializers\": [\n{sj}\n\x20 ],\n\
-         \x20 \"compiled_plans\": [\n{plj}\n\x20 ],\n\
          \x20 \"accel_sim\": {{\n\
          \x20   \"bench\": \"{ab}\", \"wall_ms\": {aw:.3},\n\
          \x20   \"sim_ser_ns\": {asn:.3}, \"sim_de_ns\": {adn:.3}, \"stream_bytes\": {asb}\n\
          \x20 }},\n\
          \x20 \"archive_crossover\": [\n{cj}\n\x20 ],\n\
-         \x20 \"fanout\": {{\n\
-         \x20   \"units\": {fnu}, \"seq_jobs\": 1, \"par_jobs\": {pj},\n\
-         \x20   \"seq_ms\": {sm:.1}, \"par_ms\": {pm:.1}, \"speedup\": {fs:.2}\n\
-         \x20 }}\n\
+         \x20 \"fanout\": {fanout_json}\n\
          }}\n",
         kv = kernel.values,
         kr = kernel.reps,
@@ -840,18 +651,12 @@ fn main() {
         ef = endmap.fast_ms,
         es = endmap.speedup(),
         sj = sers_json,
-        plj = plans_json,
         cj = crossover_json,
         ab = accel.bench,
         aw = accel.wall_ms,
         asn = accel.sim_ser_ns,
         adn = accel.sim_de_ns,
         asb = accel.stream_bytes,
-        fnu = FANOUT_UNITS,
-        pj = par_jobs,
-        sm = seq_ms,
-        pm = par_ms,
-        fs = seq_ms / par_ms,
     );
     std::fs::write("BENCH_PERF.json", &json).expect("write BENCH_PERF.json");
     println!("wrote BENCH_PERF.json");

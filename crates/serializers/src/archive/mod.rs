@@ -41,6 +41,7 @@
 
 use crate::api::{SerError, Serializer};
 use crate::plan::{plans_for, Step};
+use crate::skyway::{decode_rel, encode_rel};
 use crate::trace::{Op, OpBuf, TraceSink, IN_STREAM_BASE, OUT_STREAM_BASE};
 use sdheap::{
     reachable, Addr, ExtWord, Heap, KlassId, KlassRegistry, Reachable, HEADER_WORDS, KLASS_OFFSET,
@@ -166,24 +167,6 @@ impl From<ArchiveError> for SerError {
     }
 }
 
-/// Encodes a reference word: 0 = null, otherwise image byte offset + 1.
-#[inline]
-fn encode_rel(rel: Option<u64>) -> u64 {
-    match rel {
-        None => 0,
-        Some(r) => r + 1,
-    }
-}
-
-#[inline]
-fn decode_rel(word: u64) -> Option<u64> {
-    if word == 0 {
-        None
-    } else {
-        Some(word - 1)
-    }
-}
-
 /// A validated, directly addressable archive image.
 ///
 /// Construction goes through [`ArchiveView::validate`] only; every
@@ -281,8 +264,11 @@ impl<'a> ArchiveView<'a> {
         // image end or fails typed. Unlike Skyway's adjustment walk this
         // only touches the klass tag (and array length) of each record —
         // the payload words stay untouched.
-        let mut starts: Vec<u32> = Vec::with_capacity(declared_count as usize);
-        let mut ids: Vec<KlassId> = Vec::with_capacity(declared_count as usize);
+        // The header's count is untrusted: a record takes at least a
+        // header's worth of bytes, so the image bounds the real count.
+        let cap = u64::from(declared_count).min(total / (HEADER_WORDS as u64 * 8)) as usize;
+        let mut starts: Vec<u32> = Vec::with_capacity(cap);
+        let mut ids: Vec<KlassId> = Vec::with_capacity(cap);
         let mut cursor = 0u64;
         while cursor < total {
             let offset = cursor as u32;
@@ -910,6 +896,19 @@ mod tests {
             ArchiveView::validate(&evil, &reg, &mut NullSink).unwrap_err(),
             ArchiveError::CountMismatch { declared: 7, walked: 3 }
         ));
+        // A forged 16-byte header claiming u32::MAX records over an empty
+        // image must fail typed without sizing anything by the count.
+        let mut forged = MAGIC.to_vec();
+        forged.extend_from_slice(&VERSION.to_le_bytes());
+        forged.extend_from_slice(&0u32.to_le_bytes());
+        forged.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ArchiveView::validate(&forged, &reg, &mut NullSink).unwrap_err(),
+            ArchiveError::CountMismatch {
+                declared: u32::MAX,
+                walked: 0
+            }
+        );
         // And the Serializer-facing path surfaces the same defects as
         // SerError (the engines' typed error channel).
         let mut dst = Heap::new(1 << 16);

@@ -27,15 +27,19 @@ use sdheap::{
 };
 use std::collections::HashMap;
 
-/// Encodes a reference word: 0 = null, otherwise relative byte offset + 1.
-fn encode_rel(rel: Option<u64>) -> u64 {
+/// Encodes a reference word: 0 = null, otherwise the target's byte offset
+/// from the image start + 1. Shared by the Skyway and Archive images.
+#[inline]
+pub(crate) fn encode_rel(rel: Option<u64>) -> u64 {
     match rel {
         None => 0,
         Some(r) => r + 1,
     }
 }
 
-fn decode_rel(word: u64) -> Option<u64> {
+/// Inverse of [`encode_rel`].
+#[inline]
+pub(crate) fn decode_rel(word: u64) -> Option<u64> {
     if word == 0 {
         None
     } else {

@@ -255,14 +255,12 @@ impl Drop for BufferedSink<'_> {
 /// slices via [`TraceSink::ops`], which the contract guarantees is
 /// timing-identical to per-op delivery. Executors flush at dispatch
 /// boundaries (and always before returning an error) so the sink observes
-/// exactly the interpretive op sequence.
+/// every narrated op, error paths included.
 ///
 /// Because narration is centralized here, an executor built with
 /// [`OpBuf::for_sink`] against a sink whose
 /// [`TraceSink::discards_ops`] is `true` skips buffering entirely —
-/// one predictable branch per op instead of a `Vec` append — which the
-/// interpretive serializers, with narration scattered across dozens of
-/// call sites, cannot do.
+/// one predictable branch per op instead of a `Vec` append.
 pub struct OpBuf {
     buf: Vec<Op>,
     enabled: bool,
@@ -371,11 +369,6 @@ impl<'a> Tracer<'a> {
         Tracer { sink }
     }
 
-    /// Emits a raw op.
-    pub fn op(&mut self, op: Op) {
-        self.sink.op(op);
-    }
-
     /// Independent word load.
     pub fn load_word(&mut self, addr: u64) {
         self.sink.op(Op::Load {
@@ -418,34 +411,9 @@ impl<'a> Tracer<'a> {
         self.sink.op(Op::Alu(n));
     }
 
-    /// One branch.
-    pub fn branch(&mut self) {
-        self.sink.op(Op::Branch);
-    }
-
-    /// One call.
-    pub fn call(&mut self) {
-        self.sink.op(Op::Call);
-    }
-
-    /// One reflective call.
-    pub fn reflect_call(&mut self) {
-        self.sink.op(Op::ReflectCall);
-    }
-
-    /// String compare of `n` bytes.
-    pub fn str_compare(&mut self, n: u32) {
-        self.sink.op(Op::StrCompare(n));
-    }
-
     /// One hash probe.
     pub fn hash_lookup(&mut self) {
         self.sink.op(Op::HashLookup);
-    }
-
-    /// Allocation of `n` bytes.
-    pub fn alloc(&mut self, n: u32) {
-        self.sink.op(Op::Alloc(n));
     }
 }
 
@@ -462,12 +430,16 @@ mod tests {
             t.load_word_dep(0x200);
             t.store_bytes(0x300, 16);
             t.alu(3);
-            t.branch();
-            t.call();
-            t.reflect_call();
-            t.str_compare(12);
             t.hash_lookup();
-            t.alloc(48);
+        }
+        for op in [
+            Op::Branch,
+            Op::Call,
+            Op::ReflectCall,
+            Op::StrCompare(12),
+            Op::Alloc(48),
+        ] {
+            c.op(op);
         }
         assert_eq!(c.loads, 2);
         assert_eq!(c.dependent_loads, 1);

@@ -1,7 +1,8 @@
 //! Golden tests pinning the archive wire format for the canonical
-//! graphs (mirroring `golden_plans.rs`), so the format cannot drift
-//! silently: any layout, header, encoding or ordering change must show
-//! up here as an explicit diff against pinned words.
+//! graphs (those of the root `tests/golden_serializers.rs`), so the
+//! format cannot drift silently: any layout, header, encoding or
+//! ordering change must show up here as an explicit diff against
+//! pinned words.
 //!
 //! Wire format v1 (all little-endian):
 //! - 16-byte header: magic `"ARCV"`, version u32 = 1, image bytes u32,
@@ -19,7 +20,8 @@ use serializers::{Archive, ArchiveView, NullSink, Serializer};
 type Graph = (Heap, KlassRegistry, Addr);
 
 /// Mixed-width fields with interleaved refs, diamond sharing of a value
-/// array (same graph as `golden_plans::diamond`).
+/// array (same graph as `diamond` in the root
+/// `tests/golden_serializers.rs`).
 fn diamond() -> Graph {
     let mut b = GraphBuilder::new(1 << 18);
     let m = b.klass(

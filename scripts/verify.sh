@@ -26,16 +26,10 @@ cargo test -q -p serializers $CARGO_FLAGS --test golden_archive
 cargo test -q -p serializers $CARGO_FLAGS --test prop_archive
 cargo test -q $CARGO_FLAGS --test cross_serializer
 
-echo "== compiled-plan determinism (shuffle smoke, interpretive vs compiled) =="
-# Compiled plans may only change wall-clock: the serialized streams and
-# the narrated op sequences are contractually identical, so every
-# sim-derived report byte must match between the two modes.
-CEREAL_COMPILED_PLANS=0 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
-  --smoke --jobs 1 --out target/shuffle_interp.json
-CEREAL_COMPILED_PLANS=1 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
-  --smoke --jobs 1 --out target/shuffle_compiled.json
-cmp target/shuffle_interp.json target/shuffle_compiled.json \
-  || { echo "shuffle report differs between interpretive and compiled plans"; exit 1; }
+echo "== serializer stream and op-sequence fixtures =="
+# Java S/D, Kryo, ProtoLike and JsonLike stream bytes, narrated op
+# sequences and truncated-input errors, pinned as frozen fixtures.
+cargo test -q $CARGO_FLAGS --test golden_serializers
 
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
