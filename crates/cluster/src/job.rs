@@ -7,6 +7,7 @@
 //! tenant comes from a Zipf-skewed [`SkewSampler`], so a hot tenant's
 //! jobs pile onto the cluster the way hot keys pile onto a reducer.
 
+use crate::profile::ProfileKey;
 use crate::ClusterConfig;
 use sdheap::rng::Rng;
 use store::Backend;
@@ -31,7 +32,7 @@ pub enum JobKind {
 }
 
 /// One tenant's job template.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TenantTemplate {
     /// The tenant index.
     pub tenant: usize,
@@ -62,19 +63,27 @@ const TENANT_BACKENDS: [Backend; 8] = [
 /// tenants run cached scans; backends cycle through
 /// [`TENANT_BACKENDS`]; every other tenant's keys are Zipf-skewed.
 pub fn template(cfg: &ClusterConfig, t: usize) -> TenantTemplate {
-    let kind = if t % 2 == 0 { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
-    let skew = if t % 2 == 0 { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };
-    TenantTemplate {
-        tenant: t,
-        kind,
-        backend: TENANT_BACKENDS[t % TENANT_BACKENDS.len()],
-        agg: AggConfig {
-            mappers: cfg.template_mappers,
-            records_per_mapper: cfg.template_records,
-            distinct_keys: cfg.template_keys,
-            seed: cfg.seed ^ (0x7E4A_0000 + t as u64),
-            skew,
-        },
+    ProfileKey::new(cfg).template(t)
+}
+
+impl ProfileKey {
+    /// The template of tenant `t`, a function of the profile key alone
+    /// (see [`template`]).
+    pub(crate) fn template(&self, t: usize) -> TenantTemplate {
+        let kind = if t.is_multiple_of(2) { JobKind::Shuffle } else { JobKind::Scan { passes: 2 } };
+        let skew = if t.is_multiple_of(2) { KeySkew::Zipf(0.9) } else { KeySkew::Uniform };
+        TenantTemplate {
+            tenant: t,
+            kind,
+            backend: TENANT_BACKENDS[t % TENANT_BACKENDS.len()],
+            agg: AggConfig {
+                mappers: self.template_mappers,
+                records_per_mapper: self.template_records,
+                distinct_keys: self.template_keys,
+                seed: self.seed ^ (0x7E4A_0000 + t as u64),
+                skew,
+            },
+        }
     }
 }
 

@@ -11,11 +11,13 @@
 //!   tenant from a Zipf-skewed [`workloads::SkewSampler`], so a few hot
 //!   tenants dominate the cluster the way hot keys dominate a shuffle;
 //! * **real work, profiled once** — each tenant's job template is
-//!   executed *for real* exactly once ([`profile`]): shuffle map tasks
-//!   run [`shuffle::run_mapper`], reduce tasks run
-//!   [`shuffle::run_reducer`], cached-RDD tasks run
+//!   executed *for real* once per process per profile key
+//!   ([`profile`]): shuffle map tasks run [`shuffle::run_mapper`],
+//!   reduce tasks run [`shuffle::run_reducer`], cached-RDD tasks run
 //!   [`store::build_part`] — producing per-task service times, message
-//!   bytes, and per-task folds. The scheduler then replays those
+//!   bytes, and per-task folds. [`build_profiles`] memoizes on the few
+//!   config fields a profile depends on, so sweep cells that vary only
+//!   scheduling knobs share one build. The scheduler then replays those
 //!   profiles under contention; folds are re-merged from winning task
 //!   attempts at job completion and checked against the profile digest,
 //!   so scheduling can never silently change an answer;

@@ -1,39 +1,127 @@
-//! Job profiles: each tenant's template executed for real, once.
+//! Job profiles: each tenant's template executed for real, once per
+//! process per `ProfileKey`.
 //!
 //! The scheduler needs per-task service times, inter-task transfer
 //! sizes, and per-task answers. Rather than inventing synthetic
 //! numbers, every tenant's template runs through the *actual*
 //! executors — [`shuffle::run_mapper`]/[`shuffle::run_reducer`] for
-//! shuffle jobs, [`store::build_part`] for cached-RDD jobs — exactly
-//! once, and the measurements become the profile that every job
-//! instance of that tenant replays under contention. Task outputs
-//! (per-reduce-task and per-partition folds) ride along, so a job's
-//! answer can be re-assembled from whichever attempts win and checked
-//! against the profile digest.
+//! shuffle jobs, [`store::build_part`] for cached-RDD jobs — and the
+//! measurements become the profile that every job instance of that
+//! tenant replays under contention. Task outputs (per-reduce-task and
+//! per-partition folds) ride along, so a job's answer can be
+//! re-assembled from whichever attempts win and checked against the
+//! profile digest.
+//!
+//! A profile is a pure function of the few config fields gathered in
+//! `ProfileKey`: the seed, the tenant count, the template size and, when
+//! DU failures can fire, the fallback backend. Executor counts, fabric,
+//! stragglers, speculation and the fault-recovery knobs only change how
+//! the scheduler replays it. [`build_profiles`] therefore memoizes per
+//! process on that key, so a sweep over scheduling knobs executes the
+//! real work once, not once per cell.
 //!
 //! Builds fan out over [`store::par_map`] (per-task results are pure
 //! functions of the template), so `--jobs` changes wall-clock only.
 
-use crate::job::{template, JobKind, TenantTemplate};
-use crate::{ClusterConfig, ClusterError};
+use crate::job::{JobKind, TenantTemplate};
+use crate::{ClusterConfig, ClusterError, ClusterFaultConfig};
 use shuffle::{fold_checksum, run_mapper, Message, ShuffleConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, LazyLock, Mutex};
 use store::{build_part, par_map, Backend, MissPolicy, RddConfig};
 
-/// Whether this tenant needs a software-fallback decode profile: only
-/// when DU device failures can fire and the tenant actually decodes on
-/// the DU (Cereal backend) with a *different* configured fallback.
-fn profiles_fallback(cfg: &ClusterConfig, t: &TenantTemplate) -> bool {
-    cfg.fault.du_fail_rate > 0.0
-        && t.backend == Backend::Cereal
-        && cfg.fault.fallback != t.backend
+/// Exactly the configuration a tenant profile depends on.
+///
+/// [`ProfileKey::new`] destructures [`ClusterConfig`] and
+/// [`ClusterFaultConfig`] without `..`, so a new config field does not
+/// compile until it is either bound here or named as one that cannot
+/// change a profile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ProfileKey {
+    pub(crate) seed: u64,
+    pub(crate) tenants: usize,
+    pub(crate) template_mappers: usize,
+    pub(crate) template_records: usize,
+    pub(crate) template_keys: u64,
+    /// The software backend Cereal tenants profile a fallback decode
+    /// under: `Some` only when DU device failures can fire and the
+    /// fallback is not Cereal itself.
+    fallback: Option<Backend>,
+}
+
+impl ProfileKey {
+    pub(crate) fn new(cfg: &ClusterConfig) -> ProfileKey {
+        let ClusterConfig {
+            seed,
+            tenants,
+            template_mappers,
+            template_records,
+            template_keys,
+            fault,
+            // Cluster shape and fabric: the resources a replay contends
+            // for, charged on the event clock.
+            executors: _,
+            executors_per_node: _,
+            du_contexts_per_node: _,
+            link: _,
+            // The arrival process: which tenant's profile is replayed
+            // when, never what a job does.
+            tenant_theta: _,
+            job_arrivals: _,
+            target_load: _,
+            // Straggler inflation and speculative copies scale or repeat
+            // profiled services at replay time.
+            straggler_rate: _,
+            straggler_factor: _,
+            speculation: _,
+            spec_quantile: _,
+            spec_multiplier: _,
+            // Worker threads: per-task results are pure functions of the
+            // template.
+            jobs: _,
+            // Gauge sampling of a traced replay.
+            timeline_bucket_ns: _,
+        } = *cfg;
+        let ClusterFaultConfig {
+            du_fail_rate,
+            fallback,
+            // Crash, failure and recovery knobs kill, retry, delay or
+            // shed replays of a profile; none re-executes the template.
+            exec_crash_rate: _,
+            node_fail_rate: _,
+            task_fail_rate: _,
+            heartbeat_period_ns: _,
+            heartbeat_misses: _,
+            restart_ns: _,
+            blacklist_threshold: _,
+            blacklist_cooldown_ns: _,
+            job_retry_budget: _,
+            retry_backoff_ns: _,
+            shed_queue_depth: _,
+        } = fault;
+        ProfileKey {
+            seed,
+            tenants,
+            template_mappers,
+            template_records,
+            template_keys,
+            fallback: (du_fail_rate > 0.0 && fallback != Backend::Cereal).then_some(fallback),
+        }
+    }
+
+    /// The backend this tenant profiles a software-fallback decode
+    /// under: only tenants that decode on the DU (Cereal backend) need
+    /// one, and only when the key carries a fallback.
+    fn fallback_for(&self, t: &TenantTemplate) -> Option<Backend> {
+        self.fallback.filter(|_| t.backend == Backend::Cereal)
+    }
 }
 
 /// A per-key `(count, sum)` aggregate.
 pub type Fold = BTreeMap<u64, (u64, f64)>;
 
 /// One profiled map task.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MapTask {
     /// Simulated service time (build + shuffle + serialize, the
     /// mapper's full clock).
@@ -47,7 +135,7 @@ pub struct MapTask {
 }
 
 /// One profiled reduce task.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReduceTask {
     /// Inputs in deterministic `(mapper, seq)` order: which map task
     /// produced the batch, and its wire size.
@@ -65,7 +153,7 @@ pub struct ReduceTask {
 }
 
 /// One profiled cached partition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScanPart {
     /// Serialized block size (what a remote scan fetches).
     pub bytes: u64,
@@ -89,7 +177,7 @@ pub struct ScanPart {
 }
 
 /// A tenant job's task graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum JobShape {
     /// Map wave then reduce wave.
     Shuffle {
@@ -108,7 +196,7 @@ pub enum JobShape {
 }
 
 /// One tenant's complete job profile.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobProfile {
     /// The template this profile measures.
     pub template: TenantTemplate,
@@ -233,9 +321,13 @@ fn shuffle_cfg(t: &TenantTemplate) -> ShuffleConfig {
     }
 }
 
-fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile, ClusterError> {
+fn profile_shuffle(
+    key: &ProfileKey,
+    jobs: usize,
+    t: &TenantTemplate,
+) -> Result<JobProfile, ClusterError> {
     let sc = shuffle_cfg(t);
-    let outs = par_map(cfg.jobs, sc.mappers, |m| run_mapper(&sc, t.backend, m));
+    let outs = par_map(jobs, sc.mappers, |m| run_mapper(&sc, t.backend, m));
     let mut maps = Vec::with_capacity(sc.mappers);
     let mut all_msgs: Vec<Message> = Vec::new();
     for out in outs {
@@ -247,7 +339,7 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
     }
     let reg = sc.agg().registry();
     let cap = sc.agg().heap_capacity();
-    let reduces_res = par_map(cfg.jobs, sc.reducers, |r| {
+    let reduces_res = par_map(jobs, sc.reducers, |r| {
         let mut msgs: Vec<&Message> = all_msgs.iter().filter(|m| m.dst == r).collect();
         msgs.sort_by_key(|m| (m.src, m.seq));
         let out = shuffle::run_reducer(t.backend, &reg, cap, &msgs, &[], false)?;
@@ -262,19 +354,18 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
     for r in reduces_res {
         reduces.push(r?);
     }
-    if profiles_fallback(cfg, t) {
+    if let Some(fb) = key.fallback_for(t) {
         // A DU-failed node degrades end-to-end to the software fallback
         // format (PR 4 semantics): profile the fallback decode by
         // re-running the template under that backend and demand the
         // per-task folds stay bit-identical — degradation moves time,
         // never answers.
-        let fb = cfg.fault.fallback;
-        let fb_outs = par_map(cfg.jobs, sc.mappers, |m| run_mapper(&sc, fb, m));
+        let fb_outs = par_map(jobs, sc.mappers, |m| run_mapper(&sc, fb, m));
         let mut fb_msgs: Vec<Message> = Vec::new();
         for out in fb_outs {
             fb_msgs.extend(out?.messages);
         }
-        let fb_res = par_map(cfg.jobs, sc.reducers, |r| {
+        let fb_res = par_map(jobs, sc.reducers, |r| {
             let mut msgs: Vec<&Message> = fb_msgs.iter().filter(|m| m.dst == r).collect();
             msgs.sort_by_key(|m| (m.src, m.seq));
             let out = shuffle::run_reducer(fb, &reg, cap, &msgs, &[], false)?;
@@ -314,7 +405,7 @@ fn profile_shuffle(cfg: &ClusterConfig, t: &TenantTemplate) -> Result<JobProfile
     })
 }
 
-fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobProfile {
+fn profile_scan(key: &ProfileKey, jobs: usize, t: &TenantTemplate, passes: usize) -> JobProfile {
     let rc = RddConfig {
         agg: t.agg,
         backend: t.backend,
@@ -327,8 +418,8 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
         checksum: false,
         fault: None,
     };
-    let fb = profiles_fallback(cfg, t).then_some(cfg.fault.fallback);
-    let parts: Vec<ScanPart> = par_map(cfg.jobs, t.agg.mappers, |m| {
+    let fb = key.fallback_for(t);
+    let parts: Vec<ScanPart> = par_map(jobs, t.agg.mappers, |m| {
         // `build_part` runs the real materialize + re-read cycle and
         // asserts the reconstructed fold matches the source data.
         let p = build_part(&rc, m);
@@ -387,19 +478,42 @@ fn profile_scan(cfg: &ClusterConfig, t: &TenantTemplate, passes: usize) -> JobPr
     }
 }
 
-/// Builds every tenant's profile. Within a tenant, task builds fan out
+/// Every tenant's profile under `cfg`, built at most once per process
+/// per profile key and shared: later calls with the same key — any
+/// executor count, straggler, speculation, fault-recovery or `jobs`
+/// setting — return the same `Arc`. Within a tenant, task builds fan out
 /// over `cfg.jobs` worker threads; results are independent of the
 /// thread count.
 ///
+/// Only successful builds are kept, so an error is rebuilt and reported
+/// on every call. The memo is looked up under its lock and built outside
+/// it: callers with different keys build in parallel, and two racing
+/// callers with one key both build and share whichever result lands
+/// first (the two are equal).
+///
 /// # Errors
 /// Propagates executor errors and profile fold mismatches.
-pub fn build_profiles(cfg: &ClusterConfig) -> Result<Vec<JobProfile>, ClusterError> {
-    (0..cfg.tenants)
+pub fn build_profiles(cfg: &ClusterConfig) -> Result<Arc<[JobProfile]>, ClusterError> {
+    static MEMO: LazyLock<Mutex<HashMap<ProfileKey, Arc<[JobProfile]>>>> =
+        LazyLock::new(Default::default);
+    let memo = || MEMO.lock().expect("a thread panicked holding the profile memo");
+    let key = ProfileKey::new(cfg);
+    if let Some(hit) = memo().get(&key) {
+        return Ok(Arc::clone(hit));
+    }
+    let built: Arc<[JobProfile]> = build(&key, cfg.jobs)?.into();
+    Ok(Arc::clone(memo().entry(key).or_insert(built)))
+}
+
+/// Builds every tenant's profile for `key`, uncached, on `jobs` worker
+/// threads.
+fn build(key: &ProfileKey, jobs: usize) -> Result<Vec<JobProfile>, ClusterError> {
+    (0..key.tenants)
         .map(|i| {
-            let t = template(cfg, i);
+            let t = key.template(i);
             match t.kind {
-                JobKind::Shuffle => profile_shuffle(cfg, &t),
-                JobKind::Scan { passes } => Ok(profile_scan(cfg, &t, passes)),
+                JobKind::Shuffle => profile_shuffle(key, jobs, &t),
+                JobKind::Scan { passes } => Ok(profile_scan(key, jobs, &t, passes)),
             }
         })
         .collect()
@@ -413,15 +527,62 @@ mod tests {
     fn profiles_are_deterministic_across_thread_counts() {
         let mut cfg = ClusterConfig::smoke();
         cfg.tenants = 2;
-        cfg.jobs = 1;
-        let a = build_profiles(&cfg).expect("profiles build");
-        cfg.jobs = 4;
-        let b = build_profiles(&cfg).expect("profiles build");
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.fold_checksum, y.fold_checksum);
-            assert_eq!(x.tasks, y.tasks);
-            assert_eq!(x.total_service_ns, y.total_service_ns);
+        let key = ProfileKey::new(&cfg);
+        let a = build(&key, 1).expect("profiles build");
+        let b = build(&key, 4).expect("profiles build");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn profile_key_misses_on_every_profile_input_and_hits_on_the_rest() {
+        let mut base = ClusterConfig::smoke();
+        base.tenants = 2;
+        let first = build_profiles(&base).expect("profiles build");
+        let with = |f: &dyn Fn(&mut ClusterConfig)| {
+            let mut c = base;
+            f(&mut c);
+            c
+        };
+        let misses = [
+            ("seed", with(&|c| c.seed ^= 1)),
+            ("tenants", with(&|c| c.tenants += 1)),
+            ("template_mappers", with(&|c| c.template_mappers += 1)),
+            ("template_records", with(&|c| c.template_records += 8)),
+            ("template_keys", with(&|c| c.template_keys += 1)),
+            (
+                "du_fail_rate with a Kryo fallback",
+                with(&|c| {
+                    c.fault.du_fail_rate = 0.25;
+                    c.fault.fallback = Backend::Kryo;
+                }),
+            ),
+        ];
+        for (field, cfg) in &misses {
+            assert_ne!(ProfileKey::new(cfg), ProfileKey::new(&base), "{field}");
+            let p = build_profiles(cfg).expect("profiles build");
+            assert!(!Arc::ptr_eq(&p, &first), "{field} must miss the memo");
+            assert_ne!(*p, *first, "{field} changes the profiles");
+        }
+        let hits = [
+            ("executors", with(&|c| c.executors *= 4)),
+            ("straggler_rate", with(&|c| c.straggler_rate = 0.2)),
+            ("speculation", with(&|c| c.speculation = true)),
+            ("exec_crash_rate", with(&|c| c.fault.exec_crash_rate = 0.05)),
+            ("heartbeat_period_ns", with(&|c| c.fault.heartbeat_period_ns *= 2.0)),
+            ("jobs", with(&|c| c.jobs = 4)),
+            (
+                "du_fail_rate with a Cereal fallback",
+                with(&|c| {
+                    c.fault.du_fail_rate = 0.25;
+                    c.fault.fallback = Backend::Cereal;
+                }),
+            ),
+        ];
+        for (field, cfg) in &hits {
+            let p = build_profiles(cfg).expect("profiles build");
+            assert!(Arc::ptr_eq(&p, &first), "{field} must hit the memo");
+            let fresh = build(&ProfileKey::new(cfg), cfg.jobs).expect("profiles build");
+            assert_eq!(*p, fresh[..], "a {field} hit equals a fresh build");
         }
     }
 

@@ -134,26 +134,32 @@ fn du_device_failure_degrades_to_software_fallback() {
     // The degrade semantics live in the profile: Cereal tenants carry a
     // distinct software-fallback decode profile (for scans, the paper's
     // validate-vs-deserialize gap makes it strictly slower), everyone
-    // else is untouched by DU failure.
-    let profiles = build_profiles(&cfg).expect("profiles with fallback");
-    for p in &profiles {
-        let cereal = p.template.backend == Backend::Cereal;
-        match &p.shape {
-            JobShape::Scan { parts, .. } => {
-                for part in parts {
-                    if cereal {
-                        assert!(part.fallback_read_ns > part.read_ns);
-                    } else {
-                        assert_eq!(part.fallback_read_ns, part.read_ns);
+    // else is untouched by DU failure. The `du_fail_rate = 0` twin
+    // profiles no fallback at all, so the two configs must not share a
+    // profile set.
+    let degraded = build_profiles(&cfg).expect("profiles with fallback");
+    let twin = build_profiles(&ClusterConfig::smoke()).expect("profiles without fallback");
+    assert_ne!(*degraded, *twin, "DU failure must profile the fallback decode");
+    for (profiles, fallback) in [(&degraded, true), (&twin, false)] {
+        for p in profiles.iter() {
+            let profiled = fallback && p.template.backend == Backend::Cereal;
+            match &p.shape {
+                JobShape::Scan { parts, .. } => {
+                    for part in parts {
+                        if profiled {
+                            assert!(part.fallback_read_ns > part.read_ns);
+                        } else {
+                            assert_eq!(part.fallback_read_ns, part.read_ns);
+                        }
                     }
                 }
-            }
-            JobShape::Shuffle { reduces, .. } => {
-                for r in reduces {
-                    if cereal {
-                        assert_ne!(r.fallback_ns, r.service_ns);
-                    } else {
-                        assert_eq!(r.fallback_ns, r.service_ns);
+                JobShape::Shuffle { reduces, .. } => {
+                    for r in reduces {
+                        if profiled {
+                            assert_ne!(r.fallback_ns, r.service_ns);
+                        } else {
+                            assert_eq!(r.fallback_ns, r.service_ns);
+                        }
                     }
                 }
             }

@@ -56,7 +56,7 @@ fn emit_cpu_classes<S: Sink>(sink: &mut S, cpu: &Cpu) {
 pub const DST_BASE: u64 = 0x40_0000_0000;
 
 /// A serialization backend an executor can run on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Java built-in serialization model.
     Java,

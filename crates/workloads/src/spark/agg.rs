@@ -71,7 +71,7 @@ impl KeySampler {
 }
 
 /// Aggregation dataset parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AggConfig {
     /// Map-side executors (each gets an independent partition + heap).
     pub mappers: usize,

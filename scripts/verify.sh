@@ -99,4 +99,15 @@ cargo run --release -p cereal-bench --bin cluster $CARGO_FLAGS -- \
 cmp target/cluster_jobs1.json target/cluster_jobs4.json \
   || { echo "cluster report differs between 1 and 4 jobs"; exit 1; }
 
+echo "== full-size cluster golden =="
+# Profiles are memoized per profile key, so the full sweep takes seconds:
+# regenerate it at 1 and 2 worker threads and demand the committed
+# BENCH_CLUSTER.json byte for byte.
+for jobs in 1 2; do
+  cargo run --release -p cereal-bench --bin cluster $CARGO_FLAGS -- \
+    --jobs $jobs --out target/cluster_full_jobs$jobs.json
+  cmp target/cluster_full_jobs$jobs.json BENCH_CLUSTER.json \
+    || { echo "full cluster report ($jobs jobs) differs from BENCH_CLUSTER.json"; exit 1; }
+done
+
 echo "verify: OK"
