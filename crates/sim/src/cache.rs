@@ -36,20 +36,22 @@ impl LevelConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// One set-associative cache level.
+///
+/// Storage is one flat array of `sets × ways` tag words. Each set is kept
+/// in recency order, most recent first: a hit moves its word to the
+/// front, a fill shifts the set down one and drops the last word. The
+/// last word is therefore the LRU line, or an invalid way while the set
+/// is not yet full (valid words always form a prefix, since nothing ever
+/// invalidates a line). A word is `(tag + 1) << 1 | dirty`, and 0 means
+/// invalid.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    cfg: LevelConfig,
-    sets: Vec<Vec<Line>>,
-    tick: u64,
+    words: Vec<u64>,
+    ways: usize,
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
     hits: u64,
     misses: u64,
 }
@@ -58,7 +60,8 @@ impl Cache {
     /// A cache with the given geometry.
     ///
     /// # Panics
-    /// Panics if the geometry does not divide into whole sets.
+    /// Panics if the geometry does not divide into whole sets, or if the
+    /// line size or the set count is not a power of two.
     pub fn new(cfg: LevelConfig) -> Self {
         let nsets = cfg.sets();
         assert!(nsets > 0, "cache too small for its ways/line");
@@ -67,69 +70,61 @@ impl Cache {
             nsets as u64 * cfg.line * cfg.ways as u64,
             "geometry must tile capacity exactly"
         );
+        assert!(
+            cfg.line.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        assert!(nsets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            cfg,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    cfg.ways
-                ];
-                nsets
-            ],
-            tick: 0,
+            words: vec![0; nsets * cfg.ways],
+            ways: cfg.ways,
+            line_shift: cfg.line.trailing_zeros(),
+            set_shift: nsets.trailing_zeros(),
+            set_mask: nsets as u64 - 1,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.cfg.line;
-        ((block as usize) % self.sets.len(), block / self.sets.len() as u64)
+    /// The set holding `addr`, its index, and the line's tag key
+    /// (`tag + 1`, so that no valid word is 0).
+    fn locate(&mut self, addr: u64) -> (&mut [u64], u64, u64) {
+        let block = addr >> self.line_shift;
+        let set = block & self.set_mask;
+        let base = set as usize * self.ways;
+        let key = (block >> self.set_shift) + 1;
+        (&mut self.words[base..base + self.ways], set, key)
     }
 
-    /// Looks up a line; on hit, refreshes LRU and applies `write` to the
-    /// dirty bit. Returns whether it hit.
+    /// Looks up a line; on hit, makes it the most recent in its set and
+    /// applies `write` to the dirty bit. Returns whether it hit.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
+        let (set, _, key) = self.locate(addr);
+        match set.iter().position(|&w| w >> 1 == key) {
+            Some(way) => {
+                let word = set[way] | u64::from(write);
+                set.copy_within(0..way, 1);
+                set[0] = word;
                 self.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
-    /// Fills a line (after a miss was serviced below), returning the
-    /// evicted dirty line's address if a write-back is needed.
+    /// Fills a line (after [`Cache::access`] missed it and the miss was
+    /// serviced below), evicting the set's LRU line. Returns the evicted
+    /// line's address if it was dirty and needs a write-back.
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
-        self.tick += 1;
-        let line_bytes = self.cfg.line;
-        let nsets = self.sets.len() as u64;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("ways > 0");
-        let evicted = (victim.valid && victim.dirty).then(|| {
-            (victim.tag * nsets + set_idx as u64) * line_bytes
-        });
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = write;
-        victim.lru = self.tick;
-        evicted
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
+        let (set, set_idx, key) = self.locate(addr);
+        let victim = set[set.len() - 1];
+        set.copy_within(0..set.len() - 1, 1);
+        set[0] = key << 1 | u64::from(write);
+        (victim & 1 == 1).then(|| (((victim >> 1) - 1) << set_shift | set_idx) << line_shift)
     }
 
     /// Hit count.
@@ -162,8 +157,8 @@ pub struct Hierarchy {
     pub l2: Cache,
     /// Shared LLC.
     pub l3: Cache,
-    /// Line size shared by all levels.
-    pub line: u64,
+    /// log2 of the line size shared by all levels.
+    line_shift: u32,
     /// 64 B lines written back to DRAM.
     pub writebacks: u64,
 }
@@ -188,9 +183,26 @@ impl Hierarchy {
                 ways: 11,
                 line,
             }),
-            line,
+            line_shift: line.trailing_zeros(),
             writebacks: 0,
         }
+    }
+
+    /// Line size in bytes, shared by all levels.
+    pub fn line(&self) -> u64 {
+        1 << self.line_shift
+    }
+
+    /// Number of lines `[addr, addr+bytes)` touches (at least one).
+    pub fn lines_spanned(&self, addr: u64, bytes: u64) -> u64 {
+        let (first, last) = self.block_span(addr, bytes);
+        last - first + 1
+    }
+
+    /// First and last line index of `[addr, addr+bytes)`.
+    fn block_span(&self, addr: u64, bytes: u64) -> (u64, u64) {
+        let last_byte = addr + bytes.max(1) - 1;
+        (addr >> self.line_shift, last_byte >> self.line_shift)
     }
 
     /// Accesses one address (the caller splits multi-line accesses).
@@ -221,11 +233,10 @@ impl Hierarchy {
     /// Splits an arbitrary `[addr, addr+bytes)` access into line accesses
     /// and returns the worst (slowest) serving level.
     pub fn access_range(&mut self, addr: u64, bytes: u64, write: bool) -> HitLevel {
-        let first = addr / self.line;
-        let last = (addr + bytes.max(1) - 1) / self.line;
+        let (first, last) = self.block_span(addr, bytes);
         let mut worst = HitLevel::L1;
         for block in first..=last {
-            let level = self.access(block * self.line, write);
+            let level = self.access(block << self.line_shift, write);
             if level > worst {
                 worst = level;
             }
@@ -360,6 +371,37 @@ mod tests {
         // Crossing a line boundary mid-word also touches two lines.
         assert_eq!(h.access_range(0x1fc, 8, false), HitLevel::Memory);
         assert_eq!(h.access_range(0x200, 8, false), HitLevel::L1);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 3 sets of 2 × 64 B ways.
+        Cache::new(LevelConfig {
+            capacity: 384,
+            ways: 2,
+            line: 64,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_panics() {
+        Cache::new(LevelConfig {
+            capacity: 768,
+            ways: 2,
+            line: 48,
+        });
+    }
+
+    #[test]
+    fn line_geometry_comes_from_one_shift() {
+        let h = Hierarchy::i7_7820x();
+        assert_eq!(h.line(), 64);
+        assert_eq!(h.lines_spanned(0x100, 0), 1);
+        assert_eq!(h.lines_spanned(0x100, 64), 1);
+        assert_eq!(h.lines_spanned(0x13f, 2), 2);
+        assert_eq!(h.lines_spanned(0x100, 129), 3);
     }
 
     #[test]

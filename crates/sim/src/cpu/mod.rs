@@ -219,10 +219,11 @@ impl Cpu {
         let level = self.cache.access_range(addr, bytes, write);
         // Dirty LLC evictions drain asynchronously but consume bandwidth.
         let new_wb = self.cache.writebacks - before_wb;
+        let line = self.cache.line();
         for _ in 0..new_wb {
-            self.wb_spread = self.wb_spread.wrapping_add(64);
+            self.wb_spread = self.wb_spread.wrapping_add(line);
             let now_ns = self.ns_of(issue_cycle);
-            self.dram.write(0x7000_0000 + self.wb_spread, 64, now_ns);
+            self.dram.write(0x7000_0000 + self.wb_spread, line, now_ns);
             self.writebacks_charged += 1;
         }
         match level {
@@ -230,9 +231,9 @@ impl Cpu {
             HitLevel::L2 => self.cfg.l2_latency,
             HitLevel::L3 => self.cfg.l3_latency,
             HitLevel::Memory => {
-                let lines = (addr + bytes.max(1) - 1) / 64 - addr / 64 + 1;
+                let lines = self.cache.lines_spanned(addr, bytes);
                 let now_ns = self.ns_of(issue_cycle);
-                let done_ns = self.dram.read(addr, lines * 64, now_ns);
+                let done_ns = self.dram.read(addr, lines * line, now_ns);
                 self.cycles_of_ns(done_ns - now_ns)
             }
         }

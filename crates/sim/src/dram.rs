@@ -32,13 +32,6 @@ pub struct DramConfig {
     /// calibration is unchanged; use [`DramConfig::with_row_buffer`] for
     /// the finer model.
     pub row_hit_ns: f64,
-    /// Fast-forward the capacity-ledger walk over buckets already known
-    /// to be full instead of visiting them one by one. Purely a
-    /// wall-clock optimization: completion times and booked capacity are
-    /// identical either way (the skipped buckets would each contribute
-    /// zero free capacity). Default on; turn off to run the
-    /// tick-every-bucket reference walk.
-    pub fast_forward: bool,
 }
 
 impl Default for DramConfig {
@@ -51,7 +44,6 @@ impl Default for DramConfig {
             banks_per_channel: 4,
             row_bytes: 8192,
             row_hit_ns: 40.0,
-            fast_forward: true,
         }
     }
 }
@@ -149,10 +141,10 @@ impl Dram {
         self.access(addr, bytes, now_ns)
     }
 
-    fn access(&mut self, addr: u64, bytes: u64, now_ns: f64) -> f64 {
-        debug_assert!(bytes > 0);
+    /// The channel serving `addr` and the access latency after the
+    /// row-buffer lookup (same row in the same bank serves faster).
+    fn open_row(&mut self, addr: u64) -> (usize, f64) {
         let ch = ((addr / self.cfg.interleave_bytes) as usize) % self.cfg.channels;
-        // Row-buffer lookup: same row in the same bank serves faster.
         let row = addr / self.cfg.row_bytes;
         let bank = (row as usize) % self.cfg.banks_per_channel;
         let slot = ch * self.cfg.banks_per_channel + bank;
@@ -164,15 +156,19 @@ impl Dram {
             self.open_rows[slot] = Some(row);
             self.cfg.zero_load_ns
         };
+        (ch, latency)
+    }
+
+    fn access(&mut self, addr: u64, bytes: u64, now_ns: f64) -> f64 {
+        debug_assert!(bytes > 0);
+        let (ch, latency) = self.open_row(addr);
         let cap = BUCKET_NS * self.cfg.channel_bytes_per_ns;
         let ledger = &mut self.ledger[ch];
-        let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
         // Fast-forward: every bucket below the frontier is full and would
-        // only contribute `free == 0.0` steps to the walk below, so jump
-        // straight over them. The tick-reference mode walks them all.
-        if self.cfg.fast_forward && bucket < self.frontier[ch] {
-            bucket = self.frontier[ch];
-        }
+        // only contribute `free == 0.0` steps to the walk below, so start
+        // at the frontier. Completion times and booked capacity are those
+        // of a walk that visits every bucket from the issue bucket on.
+        let mut bucket = ((now_ns.max(0.0) / BUCKET_NS) as u64).max(self.frontier[ch]);
         let first = bucket;
         let mut left = bytes as f64;
         let finish;
@@ -189,9 +185,9 @@ impl Dram {
             *used = cap;
             bucket += 1;
         }
-        // The walk saturated [first, bucket); if it started at or below
-        // the frontier, everything below `bucket` is now full.
-        if first <= self.frontier[ch] && bucket > self.frontier[ch] {
+        // The walk saturated [first, bucket); if it started at the
+        // frontier, everything below `bucket` is now full.
+        if first == self.frontier[ch] && bucket > first {
             self.frontier[ch] = bucket;
         }
         let service = bytes as f64 / self.cfg.channel_bytes_per_ns;
@@ -366,13 +362,36 @@ mod tests {
         assert_eq!(d.total_bytes(), 0);
     }
 
+    /// The tick-every-bucket walk that frontier fast-forwarding replaced:
+    /// a read that books capacity from its issue bucket on, visiting every
+    /// full bucket on the way. The reference the production walk must
+    /// match bit for bit.
+    fn tick_reference_read(d: &mut Dram, addr: u64, bytes: u64, now_ns: f64) -> f64 {
+        d.reads += 1;
+        let (ch, latency) = d.open_row(addr);
+        let cap = BUCKET_NS * d.cfg.channel_bytes_per_ns;
+        let ledger = &mut d.ledger[ch];
+        let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
+        let mut left = bytes as f64;
+        let finish = loop {
+            let used = ledger.entry(bucket).or_insert(0.0);
+            let free = cap - *used;
+            if free >= left {
+                *used += left;
+                break bucket as f64 * BUCKET_NS + *used / d.cfg.channel_bytes_per_ns;
+            }
+            left -= free;
+            *used = cap;
+            bucket += 1;
+        };
+        d.total_bytes += bytes;
+        finish.max(now_ns + bytes as f64 / d.cfg.channel_bytes_per_ns) + latency
+    }
+
     #[test]
     fn fast_forward_matches_tick_reference_exactly() {
         let mut ff = Dram::default();
-        let mut tk = Dram::new(DramConfig {
-            fast_forward: false,
-            ..DramConfig::default()
-        });
+        let mut tk = Dram::default();
         // Deterministic mixed pattern: saturates channels, revisits the
         // saturated past, and strides across rows. Completion times must
         // be bit-identical — the skipped buckets only ever contribute
@@ -382,7 +401,7 @@ mod tests {
             let addr = (i * 97) % 4096 * 64;
             let bytes = 32 + (i % 7) * 48;
             let a = ff.read(addr, bytes, now);
-            let b = tk.read(addr, bytes, now);
+            let b = tick_reference_read(&mut tk, addr, bytes, now);
             assert_eq!(a.to_bits(), b.to_bits(), "access {i}");
             if i % 5 == 0 {
                 now += 13.0;
@@ -393,6 +412,10 @@ mod tests {
         }
         assert_eq!(ff.total_bytes(), tk.total_bytes());
         assert_eq!(ff.row_hits(), tk.row_hits());
+        assert!(
+            ff.frontier.iter().all(|&f| f > 0),
+            "the pattern must exercise the skip"
+        );
     }
 
     #[test]

@@ -31,6 +31,12 @@ echo "== serializer stream and op-sequence fixtures =="
 # sequences and truncated-input errors, pinned as frozen fixtures.
 cargo test -q $CARGO_FLAGS --test golden_serializers
 
+echo "== cache model and timing-model fixtures =="
+# The recency-ordered cache against the timestamp-LRU reference model,
+# then every simulated SdMeasure field of the micro suite by its bits.
+cargo test -q -p sim $CARGO_FLAGS --test cache_reference
+cargo test -q $CARGO_FLAGS --test golden_cpu_model
+
 echo "== shuffle smoke + thread-count determinism =="
 cargo run --release -p cereal-bench --bin shuffle $CARGO_FLAGS -- \
   --smoke --jobs 1 --out target/shuffle_jobs1.json
@@ -109,5 +115,13 @@ for jobs in 1 2; do
   cmp target/cluster_full_jobs$jobs.json BENCH_CLUSTER.json \
     || { echo "full cluster report ($jobs jobs) differs from BENCH_CLUSTER.json"; exit 1; }
 done
+
+echo "== evaluation golden =="
+# The whole paper evaluation at the default (Scaled) size, demanded byte
+# for byte against the committed report.
+CEREAL_SCALE=scaled cargo run --release -p cereal-bench --bin all $CARGO_FLAGS -- \
+  --jobs 2 > target/bench_output_scaled.txt
+cmp target/bench_output_scaled.txt bench_output_scaled.txt \
+  || { echo "--bin all output differs from bench_output_scaled.txt"; exit 1; }
 
 echo "verify: OK"
