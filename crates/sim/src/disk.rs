@@ -2,11 +2,11 @@
 //!
 //! The block store (`crates/store`) needs a fourth device class next to
 //! DRAM, caches, and the network: a block device with a per-operation
-//! positioning cost and finite transfer bandwidth. The model follows the
-//! same order-insensitive time-bucket ledger as [`crate::dram`] and
-//! [`crate::net`], so requests issued by sequentially simulated
-//! executors overlap in simulated time exactly as they would on real
-//! hardware:
+//! positioning cost and finite transfer bandwidth. The model books its
+//! transfers in a [`BucketLedger`], the order-insensitive time-bucket
+//! ledger [`crate::dram`] and [`crate::net`] share, so requests issued by
+//! sequentially simulated executors overlap in simulated time exactly as
+//! they would on real hardware:
 //!
 //! * **seek**: an access whose offset is not where the previous access
 //!   left the head pays the configured positioning latency (mechanical
@@ -15,7 +15,10 @@
 //!   spill files are laid out for;
 //! * **transfer**: `bytes / bytes_per_ns`, booked against the device's
 //!   bandwidth ledger so concurrent spills and fetches queue instead of
-//!   magically overlapping.
+//!   magically overlapping. A zero-byte access books no bandwidth: it
+//!   completes once any seek is paid.
+
+use crate::ledger::BucketLedger;
 
 /// Disk configuration.
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +92,7 @@ pub struct DiskWindow {
 #[derive(Clone, Debug)]
 pub struct Disk {
     cfg: DiskConfig,
-    ledger: std::collections::HashMap<u64, f64>,
+    ledger: BucketLedger,
     /// Byte offset just past the previous access (sequential detection).
     head: u64,
     read_bytes: u64,
@@ -106,7 +109,7 @@ impl Disk {
     pub fn new(cfg: DiskConfig) -> Self {
         Disk {
             cfg,
-            ledger: std::collections::HashMap::new(),
+            ledger: BucketLedger::new(BUCKET_NS, cfg.bytes_per_ns),
             head: 0,
             read_bytes: 0,
             write_bytes: 0,
@@ -135,7 +138,6 @@ impl Disk {
     }
 
     fn access(&mut self, offset: u64, bytes: u64, now_ns: f64, is_write: bool) -> f64 {
-        debug_assert!(bytes > 0);
         let latency = if offset == self.head {
             0.0
         } else {
@@ -144,22 +146,7 @@ impl Disk {
         };
         self.head = offset + bytes;
         let start = now_ns.max(0.0) + latency;
-        let cap = BUCKET_NS * self.cfg.bytes_per_ns;
-        let mut bucket = (start / BUCKET_NS) as u64;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = self.ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
+        let finish = self.ledger.book(start, bytes);
         let service = bytes as f64 / self.cfg.bytes_per_ns;
         let done = finish.max(start + service);
         if let Some(tape) = &mut self.tape {
@@ -277,6 +264,17 @@ mod tests {
         assert!(util <= 1.0 + 1e-9);
         // 100 MB at 3 GB/s ≈ 33 ms.
         assert!(last >= 100.0 * (1 << 20) as f64 / 3.0);
+    }
+
+    #[test]
+    fn zero_byte_access_pays_only_the_seek() {
+        let mut d = Disk::new(DiskConfig::ssd());
+        assert_eq!(d.write(0, 0, 10.0), 10.0, "sequential: nothing to pay");
+        assert_eq!(d.read(4096, 0, 10.0), 10.0 + 60_000.0, "a seek still costs");
+        let mut fresh = Disk::new(DiskConfig::ssd());
+        fresh.read(4096, 0, 10.0);
+        let (a, b) = (d.read(0, 500, 0.0), fresh.read(0, 500, 0.0));
+        assert_eq!(a, b, "nothing booked");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! bandwidth-utilization comparisons (Figs. 11 and 15) come from one
 //! meter.
 
+use crate::ledger::BucketLedger;
+
 /// DRAM configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DramConfig {
@@ -83,20 +85,20 @@ const BUCKET_NS: f64 = 100.0;
 /// assert_eq!(dram.total_bytes(), 64);
 /// ```
 ///
-/// Each channel is a fluid queue tracked in [`BUCKET_NS`] time buckets:
-/// an access books `bytes` of channel capacity starting at its issue
-/// bucket, spilling into later buckets when one is full. Booking is
-/// order-*insensitive*, so independent requesters (the 8 SUs, 8 DUs, or
-/// a CPU core) can be simulated one after another and still overlap in
-/// simulated time exactly as concurrent hardware would — a plain
-/// "channel-free-at" frontier would falsely serialize them.
+/// Each channel is a fluid queue: a [`BucketLedger`] of 100 ns time
+/// buckets. An access books `bytes` of channel capacity starting at its
+/// issue bucket, spilling into later buckets when one is full.
+/// Booking is order-*insensitive*, so independent requesters (the 8 SUs,
+/// 8 DUs, or a CPU core) can be simulated one after another and still
+/// overlap in simulated time exactly as concurrent hardware would — a
+/// plain "channel-free-at" frontier would falsely serialize them. A
+/// zero-byte access books no capacity: it completes one latency after
+/// its issue time.
 #[derive(Clone, Debug)]
 pub struct Dram {
     cfg: DramConfig,
-    /// Per-channel: booked bytes per time bucket.
-    ledger: Vec<std::collections::HashMap<u64, f64>>,
-    /// Per-channel skip pointer: every bucket below this index is full.
-    frontier: Vec<u64>,
+    /// Per-channel capacity ledger.
+    ledger: Vec<BucketLedger>,
     /// Open row per (channel, bank).
     open_rows: Vec<Option<u64>>,
     row_hits: u64,
@@ -110,8 +112,9 @@ impl Dram {
     /// A DRAM with the given configuration.
     pub fn new(cfg: DramConfig) -> Self {
         Dram {
-            ledger: (0..cfg.channels).map(|_| std::collections::HashMap::new()).collect(),
-            frontier: vec![0; cfg.channels],
+            ledger: (0..cfg.channels)
+                .map(|_| BucketLedger::new(BUCKET_NS, cfg.channel_bytes_per_ns))
+                .collect(),
             open_rows: vec![None; cfg.channels * cfg.banks_per_channel],
             row_hits: 0,
             row_misses: 0,
@@ -160,36 +163,8 @@ impl Dram {
     }
 
     fn access(&mut self, addr: u64, bytes: u64, now_ns: f64) -> f64 {
-        debug_assert!(bytes > 0);
         let (ch, latency) = self.open_row(addr);
-        let cap = BUCKET_NS * self.cfg.channel_bytes_per_ns;
-        let ledger = &mut self.ledger[ch];
-        // Fast-forward: every bucket below the frontier is full and would
-        // only contribute `free == 0.0` steps to the walk below, so start
-        // at the frontier. Completion times and booked capacity are those
-        // of a walk that visits every bucket from the issue bucket on.
-        let mut bucket = ((now_ns.max(0.0) / BUCKET_NS) as u64).max(self.frontier[ch]);
-        let first = bucket;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                // Completion point within this bucket, by cumulative fill.
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.channel_bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
-        // The walk saturated [first, bucket); if it started at the
-        // frontier, everything below `bucket` is now full.
-        if first == self.frontier[ch] && bucket > first {
-            self.frontier[ch] = bucket;
-        }
+        let finish = self.ledger[ch].book(now_ns, bytes);
         let service = bytes as f64 / self.cfg.channel_bytes_per_ns;
         self.total_bytes += bytes;
         finish.max(now_ns + service) + latency
@@ -254,6 +229,7 @@ impl Default for Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn zero_load_latency_applies() {
@@ -351,6 +327,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_byte_access_pays_latency_only() {
+        let mut d = Dram::default();
+        d.read(0, 1920, 0.0); // fills channel 0's first bucket
+        assert_eq!(d.read(0, 0, 50.0), 50.0 + 40.0, "no queueing, no booking");
+        let mut fresh = Dram::default();
+        fresh.read(0, 1920, 0.0);
+        assert_eq!(d.read(0, 64, 50.0), fresh.read(0, 64, 50.0));
+    }
+
+    #[test]
     fn counters_and_reset() {
         let mut d = Dram::default();
         d.read(0, 64, 0.0);
@@ -363,14 +349,20 @@ mod tests {
     }
 
     /// The tick-every-bucket walk that frontier fast-forwarding replaced:
-    /// a read that books capacity from its issue bucket on, visiting every
-    /// full bucket on the way. The reference the production walk must
-    /// match bit for bit.
-    fn tick_reference_read(d: &mut Dram, addr: u64, bytes: u64, now_ns: f64) -> f64 {
+    /// a read that books capacity from its issue bucket on in a
+    /// per-channel map of its own, visiting every full bucket on the way.
+    /// The reference the production walk must match bit for bit.
+    fn tick_reference_read(
+        d: &mut Dram,
+        ledger: &mut [BTreeMap<u64, f64>],
+        addr: u64,
+        bytes: u64,
+        now_ns: f64,
+    ) -> f64 {
         d.reads += 1;
         let (ch, latency) = d.open_row(addr);
         let cap = BUCKET_NS * d.cfg.channel_bytes_per_ns;
-        let ledger = &mut d.ledger[ch];
+        let ledger = &mut ledger[ch];
         let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
         let mut left = bytes as f64;
         let finish = loop {
@@ -392,6 +384,7 @@ mod tests {
     fn fast_forward_matches_tick_reference_exactly() {
         let mut ff = Dram::default();
         let mut tk = Dram::default();
+        let mut tk_ledger = vec![BTreeMap::new(); tk.config().channels];
         // Deterministic mixed pattern: saturates channels, revisits the
         // saturated past, and strides across rows. Completion times must
         // be bit-identical — the skipped buckets only ever contribute
@@ -401,7 +394,7 @@ mod tests {
             let addr = (i * 97) % 4096 * 64;
             let bytes = 32 + (i % 7) * 48;
             let a = ff.read(addr, bytes, now);
-            let b = tick_reference_read(&mut tk, addr, bytes, now);
+            let b = tick_reference_read(&mut tk, &mut tk_ledger, addr, bytes, now);
             assert_eq!(a.to_bits(), b.to_bits(), "access {i}");
             if i % 5 == 0 {
                 now += 13.0;
@@ -413,7 +406,7 @@ mod tests {
         assert_eq!(ff.total_bytes(), tk.total_bytes());
         assert_eq!(ff.row_hits(), tk.row_hits());
         assert!(
-            ff.frontier.iter().all(|&f| f > 0),
+            ff.ledger.iter().all(|l| l.frontier() > 0),
             "the pattern must exercise the skip"
         );
     }

@@ -12,8 +12,11 @@
 //! * [`mai`] — the accelerator's Memory Access Interface: 64-entry
 //!   coalescing request CAM, reorder buffers, atomic RMW.
 //! * [`tlb`] — the 128-entry, 1 GB-huge-page TLB.
+//! * [`ledger`] — the time-bucket capacity ledger every bandwidth model
+//!   here books through: DRAM channels, disks and network links.
 //! * [`net`] — a point-to-point network link for end-to-end shuffle
-//!   experiments.
+//!   experiments, and the full-mesh fabric of such links behind the
+//!   cluster.
 //! * [`disk`] — a block device (seek + bandwidth ledger) for the block
 //!   store's spill files.
 //! * [`fault`] — the seeded fault injector (wire corruption, link loss,
@@ -29,6 +32,7 @@ pub mod cpu;
 pub mod disk;
 pub mod dram;
 pub mod fault;
+pub mod ledger;
 pub mod mai;
 pub mod net;
 pub mod tlb;

@@ -3,9 +3,13 @@
 //! S/D exists to feed the network (paper §I: shuffles, RPC). This model
 //! provides the missing third stage for end-to-end shuffle experiments:
 //! a full-duplex point-to-point link with finite bandwidth and a
-//! per-message latency, using the same order-insensitive time-bucket
-//! ledger as [`crate::dram`] so senders simulated sequentially overlap
-//! correctly.
+//! per-message latency, booked in a [`BucketLedger`] (the
+//! order-insensitive time-bucket ledger [`crate::dram`] and
+//! [`crate::disk`] share) so senders simulated sequentially overlap
+//! correctly. [`Fabric`] composes links into the full mesh behind the
+//! shuffle and cluster experiments.
+
+use crate::ledger::BucketLedger;
 
 /// Link configuration.
 #[derive(Clone, Copy, Debug)]
@@ -50,7 +54,7 @@ const BUCKET_NS: f64 = 1000.0;
 #[derive(Clone, Debug)]
 pub struct Link {
     cfg: LinkConfig,
-    ledger: std::collections::HashMap<u64, f64>,
+    ledger: BucketLedger,
     total_bytes: u64,
     messages: u64,
 }
@@ -60,7 +64,7 @@ impl Link {
     pub fn new(cfg: LinkConfig) -> Self {
         Link {
             cfg,
-            ledger: std::collections::HashMap::new(),
+            ledger: BucketLedger::new(BUCKET_NS, cfg.bytes_per_ns),
             total_bytes: 0,
             messages: 0,
         }
@@ -75,29 +79,10 @@ impl Link {
     /// of the last byte at the receiver.
     ///
     /// A zero-byte send (an empty partition's flush) is well-defined:
-    /// it pays only the one-way latency and charges nothing to the
+    /// it pays only the one-way latency and books nothing in the
     /// bandwidth ledger.
     pub fn send(&mut self, bytes: u64, now_ns: f64) -> f64 {
-        if bytes == 0 {
-            self.messages += 1;
-            return now_ns.max(0.0) + self.cfg.latency_ns;
-        }
-        let cap = BUCKET_NS * self.cfg.bytes_per_ns;
-        let mut bucket = (now_ns.max(0.0) / BUCKET_NS) as u64;
-        let mut left = bytes as f64;
-        let finish;
-        loop {
-            let used = self.ledger.entry(bucket).or_insert(0.0);
-            let free = cap - *used;
-            if free >= left {
-                *used += left;
-                finish = bucket as f64 * BUCKET_NS + *used / self.cfg.bytes_per_ns;
-                break;
-            }
-            left -= free;
-            *used = cap;
-            bucket += 1;
-        }
+        let finish = self.ledger.book(now_ns, bytes);
         self.total_bytes += bytes;
         self.messages += 1;
         let service = bytes as f64 / self.cfg.bytes_per_ns;

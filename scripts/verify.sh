@@ -31,10 +31,12 @@ echo "== serializer stream and op-sequence fixtures =="
 # sequences and truncated-input errors, pinned as frozen fixtures.
 cargo test -q $CARGO_FLAGS --test golden_serializers
 
-echo "== cache model and timing-model fixtures =="
+echo "== cache model, capacity ledger and timing-model fixtures =="
 # The recency-ordered cache against the timestamp-LRU reference model,
+# the dense capacity ledger against the per-bucket map walk it replaced,
 # then every simulated SdMeasure field of the micro suite by its bits.
 cargo test -q -p sim $CARGO_FLAGS --test cache_reference
+cargo test -q -p sim $CARGO_FLAGS --test ledger_reference
 cargo test -q $CARGO_FLAGS --test golden_cpu_model
 
 echo "== shuffle smoke + thread-count determinism =="
@@ -104,6 +106,23 @@ cargo run --release -p cereal-bench --bin cluster $CARGO_FLAGS -- \
   --smoke --jobs 4 --out target/cluster_jobs4.json
 cmp target/cluster_jobs1.json target/cluster_jobs4.json \
   || { echo "cluster report differs between 1 and 4 jobs"; exit 1; }
+
+echo "== full-size shuffle, store, faults and trace goldens =="
+# The smokes above only compare two fresh runs with each other; these
+# regenerate each committed report at full size (a second or two each)
+# and demand it byte for byte, so a timing-model change that moves any
+# simulated figure by one ulp fails here.
+for bin in shuffle store faults; do
+  golden=BENCH_$(echo $bin | tr '[:lower:]' '[:upper:]').json
+  cargo run --release -p cereal-bench --bin $bin $CARGO_FLAGS -- \
+    --jobs 2 --out target/${bin}_full.json
+  cmp target/${bin}_full.json $golden \
+    || { echo "full $bin report differs from $golden"; exit 1; }
+done
+cargo run --release -p cereal-bench --bin trace $CARGO_FLAGS -- \
+  --jobs 2 --out target/trace_full.json --trace-out target/trace_full_chrome.json
+cmp target/trace_full.json BENCH_TRACE.json \
+  || { echo "full trace report differs from BENCH_TRACE.json"; exit 1; }
 
 echo "== full-size cluster golden =="
 # Profiles are memoized per profile key, so the full sweep takes seconds:
